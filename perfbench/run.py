@@ -107,13 +107,13 @@ PER_LAYER: dict[str, str] = {
 #: Serve: every session is a fresh daemon replaying one reference phase
 #: at a rate well below capacity (the allocate latencies are the
 #: per-request minima over the sessions) and a closed-loop burst of
-#: ``step``s; the first ``LADDER_SESSIONS`` then climb the fixed ladder
-#: behind ``max_rate_qps`` until a rate misses the limit.  At half the
-#: rate the tail moves far less with the host's speed than at 600 req/s.
+#: ``step``s, then climbing the fixed ladder behind ``max_rate_qps``
+#: until a rate misses the limit (the best session's rate counts).  At
+#: half the rate the tail moves far less with the host's speed than at
+#: 600 req/s.
 SESSIONS = 4
-LADDER_SESSIONS = 2
 REFERENCE_QPS = 300.0
-LADDER_QPS = tuple(float(rate) for rate in range(700, 2001, 100))
+LADDER_QPS = tuple(float(rate) for rate in range(800, 2001, 100))
 #: Shares of ``--seconds`` given to each reference phase and each rung
 #: (at 30 s: 6 s, about 1070 allocates, enough for a p99; and 1.05 s).
 REFERENCE_SHARE = 0.2
@@ -121,7 +121,7 @@ RUNG_SHARE = 0.035
 #: Closed-loop ``step`` requests per rack after each reference phase.
 BURST_EPOCHS = 40
 #: Budgets (shares of the rack peak) the served-vs-Uniform gain is
-#: projected at; fixed, so only the learned fits depend on the seed.
+#: judged at; fixed, so only the learned fits depend on the seed.
 GAIN_LEVELS = tuple(0.5 + 0.05 * i for i in range(10))
 #: Simulation passes per run, at least (the per-epoch minima need a few).
 MIN_PASSES = 3
@@ -139,7 +139,7 @@ def sim_pass(workload: str, seed: int, spans: Path | None) -> dict[str, Any]:
     cmd.append(repr(spawned))
     if spans is not None:
         cmd.append(str(spans))
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = serve_load.program_env(ROOT)
     proc = subprocess.run(
         cmd, capture_output=True, text=True, timeout=PASS_TIMEOUT_S, cwd=ROOT, env=env
     )
@@ -153,11 +153,13 @@ def sim_pass(workload: str, seed: int, spans: Path | None) -> dict[str, Any]:
 def run_sims(workload: str, seed: int, seconds: float, trace: bool, out: Path) -> dict:
     """Passes while another fits in ``seconds`` (three at least).
 
+    Epoch times arrive scaled to the reference host speed (``speed.py``).
     Every pass (and every round within one) replays the same epochs, so
-    host noise is filtered the way ``repro.obs.bench`` does it: each
-    epoch's cost is its minimum over all of them, and stepping time and
-    latency percentiles are taken over those per-epoch minima.  The traced run alternates untraced and
-    traced passes so the overhead compares neighbours.
+    what host noise is left is filtered the way ``repro.obs.bench`` does
+    it: each epoch's cost is its minimum over all of them, and stepping
+    time and latency percentiles are taken over those per-epoch minima.
+    The traced run alternates untraced and traced passes so the overhead
+    compares neighbours.
     """
     plain: list[dict] = []
     traced: list[dict] = []
@@ -192,9 +194,10 @@ def run_sims(workload: str, seed: int, seconds: float, trace: bool, out: Path) -
             name: statistics.median(p["layers"][name] for p in traced)
             for name in traced[0]["layers"]
         }
+        # Stepping time of each pass's first round, at reference host speed.
         layers["trace.overhead_ratio"] = statistics.median(
-            p["host_s"] for p in traced
-        ) / statistics.median(p["host_s"] for p in plain)
+            sum(p["epoch_ms"][0]) for p in traced
+        ) / statistics.median(sum(p["epoch_ms"][0]) for p in plain)
         report["layers"] = layers
         report["n"] = {name: len(traced) for name in layers}
         return report
@@ -297,14 +300,17 @@ def service_ms(metrics_text: str) -> dict[str, tuple[float, float]]:
 
 
 def served_gains(checkpoint: Path) -> dict[str, float]:
-    """Projected GreenHetero/Uniform gains under the daemon's learned fits.
+    """GreenHetero/Uniform gains the racks deliver with their served allocations.
 
     Restores the checkpointed state and, over :data:`GAIN_LEVELS` on
-    every rack, compares the projected throughput and effective power
-    utilisation (share of the budget landing on powered servers) of the
-    allocations the racks serve with a Uniform split of the same budgets
-    under the same fits — as ratios of means, like
-    ``ExperimentResult.gain``.
+    every rack, runs the allocation the rack serves and a Uniform split
+    of the same budget through the rack's own response curves (what its
+    servers deliver under those power caps at full load), then compares
+    throughput and effective power utilisation (the share of the budget
+    drawn by servers that produce output) as ratios of means, like
+    ``ExperimentResult.gain``.  The learned fits only choose the served
+    allocation; judging it with them as well would let one badly fitted
+    rack swing the gain by a third between seeds.
     """
     sys.path.insert(0, str(ROOT / "src"))
     from repro.core.policies import AllocationContext, UniformPolicy
@@ -315,20 +321,20 @@ def served_gains(checkpoint: Path) -> dict[str, float]:
     for host in state.racks.values():
         groups = tuple(host.controller.groups)
         database = host.controller.scheduler.database
-        fits = [database.projection(g.key) for g in groups]
+        curves = [host.controller.rack.curve(i) for i in range(len(groups))]
 
-        def project(ratios, budget, totals):
-            for g, fit, ratio in zip(groups, fits, ratios):
-                per_server = ratio * budget / g.count
-                totals[0] += g.count * fit.predict(per_server)
-                if per_server >= fit.min_power_w:
-                    totals[1] += g.count * min(per_server, fit.max_power_w) / budget
+        def deliver(ratios, budget, totals):
+            for g, curve, ratio in zip(groups, curves, ratios):
+                sample = curve.perf_at_power(ratio * budget / g.count)
+                totals[0] += g.count * sample.throughput
+                if sample.throughput > 0.0:
+                    totals[1] += g.count * sample.power_w / budget
 
         for level in GAIN_LEVELS:
             budget = level * serve_load.RACK_PEAK_W
-            project(host.allocate(budget)["ratios"], budget, served)
+            deliver(host.allocate(budget)["ratios"], budget, served)
             split = UniformPolicy().allocate(AllocationContext(budget, groups, database))
-            project(split, budget, uniform)
+            deliver(split, budget, uniform)
     return {"perf_gain": served[0] / uniform[0], "epu_gain": served[1] / uniform[1]}
 
 
@@ -342,7 +348,7 @@ def serve_session(seed: int, workdir: Path, reference_s: float, rung_s: float | 
     try:
         phases = [serve_phase(daemon.port, seed, REFERENCE_QPS, reference_s)]
         if burst:
-            steps = serve_load.step_burst(daemon.port, BURST_EPOCHS)
+            steps = serve_load.step_burst(daemon.port, daemon.proc.pid, BURST_EPOCHS)
         if keep_fits:
             saved = serve_load.query(daemon.port, "checkpoint")["checkpoint_dir"]
             fits = workdir / "fits"
@@ -394,7 +400,7 @@ def run_serve(seed: int, seconds: float, trace: bool, out: Path) -> dict:
     else:
         sessions = [
             serve_session(seed, out / f"session{i}", seconds * REFERENCE_SHARE,
-                          seconds * RUNG_SHARE if i < LADDER_SESSIONS else None,
+                          seconds * RUNG_SHARE,
                           burst=True, keep_fits=i == 0)
             for i in range(SESSIONS)
         ]
@@ -422,7 +428,7 @@ def run_serve(seed: int, seconds: float, trace: bool, out: Path) -> dict:
         * serve_load.EPOCH_S / 3.6e6
         for _, events, _ in bursts
     ]
-    ladders = [[stats_ for _, stats_ in s["phases"]] for s in sessions[:LADDER_SESSIONS]]
+    ladders = [[stats_ for _, stats_ in s["phases"]] for s in sessions]
     setups = [s["setup_s"] for s in sessions]
     report["metrics"] = {
         "setup_s": statistics.median(setups),

@@ -35,6 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from speed import REFERENCE_PROBE_S, Speedometer
+from stats import rescale
+
 #: Connections the generator spreads requests over (the reference host's 2 cores).
 CONNECTIONS = 2
 #: Racks the daemon hosts (``repro serve --racks``).
@@ -279,19 +282,27 @@ def query(port: int, op: str) -> dict[str, Any]:
     return asyncio.run(ask())
 
 
-def step_burst(port: int, epochs_per_rack: int) -> tuple[list[float], list[dict[str, Any]], int]:
+def step_burst(
+    port: int, daemon_pid: int, epochs_per_rack: int
+) -> tuple[list[float], list[dict[str, Any]], int]:
     """Closed-loop ``step`` requests, one at a time, alternating racks.
 
-    Returns each step's host seconds, the validated epoch events and the
-    number of invalid responses.
+    Returns each step's host seconds at the reference host speed, the
+    validated epoch events and the number of invalid responses.  The
+    host-speed probe runs before every step, while the daemon waits; for
+    it to see the speed the daemon steps at, this process and every
+    thread of the daemon share one CPU during the burst (a 2-vCPU host's
+    CPUs slow down independently).
     """
     requests = [Request(0.0, "step", f"rack{i % RACKS}") for i in range(epochs_per_rack * RACKS)]
 
     async def drive() -> tuple[list[float], list[dict[str, Any]], int]:
         reader, writer = await asyncio.open_connection("127.0.0.1", port, limit=1 << 22)
-        times, events, bad = [], [], 0
+        stamps, times, events, bad = [], [], [], 0
         for i, req in enumerate(requests):
+            speed.take()
             start = time.perf_counter()
+            stamps.append(start)
             writer.write(json.dumps({"id": i, "op": "step", "rack": req.rack}).encode() + b"\n")
             line = await reader.readline()
             times.append(time.perf_counter() - start)
@@ -300,11 +311,26 @@ def step_burst(port: int, epochs_per_rack: int) -> tuple[list[float], list[dict[
                 events.append(response["result"])
             else:
                 bad += 1
+        speed.take()
         writer.close()
         await writer.wait_closed()
-        return times, events, bad
+        scaled = rescale(stamps, times, speed.stamps, speed.costs, REFERENCE_PROBE_S)
+        return scaled, events, bad
 
-    return asyncio.run(drive())
+    speed = Speedometer()
+    cpus = os.sched_getaffinity(0)
+    pin([os.getpid(), daemon_pid], {min(cpus)})
+    try:
+        return asyncio.run(drive())
+    finally:
+        pin([os.getpid(), daemon_pid], cpus)
+
+
+def pin(pids: list[int], cpus: set[int]) -> None:
+    """Restrict every thread of each process to ``cpus``."""
+    for pid in pids:
+        for tid in os.listdir(f"/proc/{pid}/task"):
+            os.sched_setaffinity(int(tid), cpus)
 
 
 def parse_exposition(text: str) -> dict[tuple[str, str], float]:
@@ -327,6 +353,14 @@ class Daemon:
     setup_s: float
 
 
+def program_env(root: Path) -> dict[str, str]:
+    """Environment of every program process: the checkout's sources, and
+    one BLAS thread (an idle OpenBLAS worker spins, and on a 2-core host
+    it competes with the measured thread)."""
+    return {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def start_daemon(
     root: Path, seed: int, workdir: Path, spans: Path | None = None
 ) -> Daemon:
@@ -343,7 +377,7 @@ def start_daemon(
     else:
         cmd = [sys.executable, str(Path(__file__).with_name("traced_daemon.py")),
                str(spans), *args]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = program_env(root)
     begin = time.perf_counter()
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,

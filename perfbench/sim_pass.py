@@ -10,9 +10,12 @@ It sets up every run of the workload (traces, then every
 (``ROUNDS`` in all), and prints one JSON object: the first round's
 set-up time, per-epoch host latencies of every round (all epochs, and
 GreenHetero's own), a digest of every round's ``EpochRecord`` streams,
-the invariant-audit failures, the simulated outcomes and the peak RSS.  With ``SPANS_FILE`` the
-layer entry points are wrapped by :mod:`tracer`, the spans are written
-there and the per-layer metrics join the output.
+the invariant-audit failures, the simulated outcomes and the peak RSS.
+Host times are scaled to the reference host speed by the probes of
+:mod:`speed`: set-up time by one probe at the script's start and one
+after set-up, each epoch by the probes around it.  With ``SPANS_FILE``
+the layer entry points are wrapped by :mod:`tracer`, the spans are
+written there and the per-layer metrics join the output.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import time
 
 SCRIPT_START = time.monotonic()
 SCRIPT_START_PC = time.perf_counter()
+
+from speed import REFERENCE_PROBE_S, Speedometer, probe  # noqa: E402
+
+START_PROBE = probe()
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
@@ -45,7 +52,7 @@ from repro.sim.experiment import ExperimentConfig, ExperimentResult  # noqa: E40
 from repro.traces.nrel import Weather  # noqa: E402
 from repro.units import SECONDS_PER_DAY  # noqa: E402
 from repro.workloads import FIG9_WORKLOADS  # noqa: E402
-from stats import geomean  # noqa: E402
+from stats import geomean, rescale  # noqa: E402
 
 IMPORTED = time.monotonic()
 IMPORTED_PC = time.perf_counter()
@@ -61,6 +68,7 @@ class Stream:
 
     label: str
     sim: Simulation
+    stamps: list[float] = field(default_factory=list)
     epoch_ms: list[float] = field(default_factory=list)
     failed: int = 0
 
@@ -127,12 +135,14 @@ def assemble_shift_arms(seed: int) -> dict[str, Simulation]:
     return arms
 
 
-def step_all(stream: Stream, digest) -> None:
+def step_all(stream: Stream, digest, speed: Speedometer) -> None:
     sim = stream.sim
     while len(sim.log) < sim.clock.n_epochs:
         before = len(sim.auditor.violations) if sim.auditor is not None else 0
+        speed.tick()
         start = time.perf_counter()
         record = sim.step()
+        stream.stamps.append(start)
         stream.epoch_ms.append((time.perf_counter() - start) * 1e3)
         if len(sim.auditor.violations) > before:
             stream.failed += 1
@@ -182,10 +192,16 @@ def run_round(workload: str, seed: int, recorder: tracer.Recorder | None) -> dic
                for (i, p), s in sims.items()]
     streams += [Stream(f"shift/{arm}", sim) for arm, sim in arms.items()]
     digests = {}
+    speed = Speedometer()
+    speed.take()
     for stream in streams:
         digest = hashlib.sha256()
-        step_all(stream, digest)
+        step_all(stream, digest, speed)
         digests[stream.label] = digest.hexdigest()
+    speed.take()
+    for stream in streams:
+        stream.epoch_ms = rescale(stream.stamps, stream.epoch_ms, speed.stamps,
+                                  speed.costs, REFERENCE_PROBE_S)
 
     if recorder:
         with recorder.span("analysis.outcomes"):
@@ -194,6 +210,7 @@ def run_round(workload: str, seed: int, recorder: tracer.Recorder | None) -> dic
         result = outcomes(workload, configs, sims, arms)
     return {
         "setup_done": setup_done,
+        "setup_probe": speed.costs[0],
         "epoch_ms": [ms for s in streams for ms in s.epoch_ms],
         # GreenHetero's own control decisions (the shift arms run it too);
         # the baseline policies only feed the gains.
@@ -219,14 +236,13 @@ def main(argv: list[str]) -> int:
         tracer.install(recorder)
 
     first = run_round(workload, seed, recorder)
-    finished = time.monotonic()
     # Untraced passes step everything again in the same interpreter: more
     # samples for the per-epoch minima at a fraction of a fresh pass's cost.
     rounds = [first] + [run_round(workload, seed, None) for _ in range(ROUNDS - 1 if not recorder else 0)]
     payload = {
-        "setup_s": first["setup_done"] - spawned,
+        "setup_s": (first["setup_done"] - spawned) * REFERENCE_PROBE_S
+        / ((START_PROBE + first["setup_probe"]) / 2.0),
         "import_s": IMPORTED - SCRIPT_START,
-        "host_s": finished - SCRIPT_START,
         "epochs": sum(len(r["epoch_ms"]) for r in rounds),
         "failed": sum(r["failed"] for r in rounds),
         "epoch_ms": [r["epoch_ms"] for r in rounds],

@@ -9,11 +9,14 @@ Pure functions over plain numbers, so they are unit-tested in
   *due* time rather than its send time, and :func:`replay_minima`, its
   host-noise filter over replays of one schedule;
 * :func:`self_time` / :func:`union_length` — a span's duration minus the
-  part of its interval covered by its children.
+  part of its interval covered by its children;
+* :func:`rescale` — host times scaled to a reference host speed, from
+  the probes of :mod:`speed` taken beside them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
 from typing import Iterable, Sequence
@@ -135,3 +138,29 @@ def geomean(values: Sequence[float]) -> float:
     if not values or any(v <= 0 for v in values):
         raise ValueError("geometric mean needs positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def rescale(
+    stamps: Sequence[float],
+    times: Sequence[float],
+    probe_stamps: Sequence[float],
+    probe_costs: Sequence[float],
+    reference: float,
+) -> list[float]:
+    """Each time scaled by ``reference / probe cost`` around its stamp.
+
+    ``stamps[i]`` is when ``times[i]`` was measured; the probe cost there
+    is the mean of the last probe at or before it and the first after it
+    (the one probe on that side when the other has none).  Probe stamps
+    must be sorted.
+    """
+    if len(stamps) != len(times):
+        raise ValueError("stamps and times must align")
+    if not probe_stamps or len(probe_stamps) != len(probe_costs):
+        raise ValueError("need at least one probe, with a cost for each stamp")
+    out = []
+    for stamp, value in zip(stamps, times):
+        after = bisect.bisect_right(probe_stamps, stamp)
+        near = [probe_costs[j] for j in (after - 1, after) if 0 <= j < len(probe_costs)]
+        out.append(value * reference * len(near) / sum(near))
+    return out

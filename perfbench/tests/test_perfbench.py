@@ -18,6 +18,7 @@ sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
 import serve_load  # noqa: E402
+import speed  # noqa: E402
 import stats  # noqa: E402
 import tracer  # noqa: E402
 
@@ -114,6 +115,39 @@ def test_geomean():
     assert stats.geomean([1.0, 4.0]) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         stats.geomean([1.0, 0.0])
+
+
+# ----------------------------------------------------------------------
+# Host-speed scaling
+# ----------------------------------------------------------------------
+def test_rescale_uses_the_probes_around_each_time():
+    # Probes at t=0 (cost 1), t=10 (cost 3): a time between them is
+    # scaled by reference / mean(1, 3); times outside use the one probe.
+    scaled = stats.rescale([5.0, -1.0, 12.0], [4.0, 4.0, 4.0], [0.0, 10.0], [1.0, 3.0], 2.0)
+    assert scaled == pytest.approx([4.0, 8.0, 8.0 / 3.0])
+
+
+def test_rescale_cancels_a_uniform_slowdown():
+    fast = stats.rescale([1.0, 2.0], [1.0, 3.0], [0.0, 5.0], [0.5, 0.5], 0.5)
+    slow = stats.rescale([1.0, 2.0], [1.6, 4.8], [0.0, 5.0], [0.8, 0.8], 0.5)
+    assert slow == pytest.approx(fast)
+
+
+def test_rescale_needs_a_probe():
+    with pytest.raises(ValueError):
+        stats.rescale([1.0], [1.0], [], [], 1.0)
+    with pytest.raises(ValueError):
+        stats.rescale([1.0, 2.0], [1.0], [0.0], [1.0], 1.0)
+
+
+def test_speedometer_probes_at_most_every_interval():
+    meter = speed.Speedometer(every_s=3600.0)
+    meter.tick()
+    meter.tick()
+    meter.take()
+    assert len(meter.stamps) == len(meter.costs) == 2
+    assert meter.stamps == sorted(meter.stamps)
+    assert all(0.0 < cost < 1.0 for cost in meter.costs)
 
 
 # ----------------------------------------------------------------------
