@@ -12,7 +12,8 @@ equation ``Perf = f(Power)``.
 * **Curve fitting** — the paper fits a *quadratic* within the power
   demand range: cheap for the solver, and accurate enough because the
   true response is concave with a plateau at the workload's maximum
-  draw.  Linear and cubic fits are kept for the ablation benches.
+  draw.  A linear fit is kept for the ablation bench; the PAR solver is
+  exact for both families.
 * **Online update (Algorithm 1)** — at every subsequent epoch the
   feedback samples from actual execution are appended and the equation
   is re-fit from both new and old profiling data, so the projection
@@ -38,11 +39,13 @@ PairKey = tuple[str, str]
 
 
 class FitKind(enum.Enum):
-    """Polynomial degree of the relational equation (quadratic in the paper)."""
+    """Polynomial degree of the relational equation (quadratic in the paper).
+
+    The PAR solver's KKT enumeration is exact for exactly these families.
+    """
 
     LINEAR = 1
     QUADRATIC = 2
-    CUBIC = 3
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,10 @@ class PerfPowerFit:
     n_samples: int = 0
 
     def __post_init__(self) -> None:
+        if not 1 <= len(self.coefficients) <= 3:
+            raise ConfigurationError(
+                "a fit is a polynomial of degree at most 2 (linear or quadratic)"
+            )
         if self.min_power_w < 0:
             raise ConfigurationError("min power must be non-negative")
         if self.max_power_w <= self.min_power_w:
@@ -79,7 +86,7 @@ class PerfPowerFit:
     # Quadratic convenience accessors (the paper's l, m, n of Eq. 6-7).
     @property
     def l(self) -> float:  # noqa: E743 - paper notation
-        """Quadratic coefficient (0 for lower-degree fits)."""
+        """Quadratic coefficient (0 for a linear fit)."""
         pad = 3 - len(self.coefficients)
         return 0.0 if pad > 0 else self.coefficients[-3]
 
@@ -326,7 +333,7 @@ class ProfilingDatabase:
             coefficients=tuple(float(c) for c in coeffs),
             min_power_w=min_power,
             max_power_w=entry.max_power_w,
-            kind=FitKind(degree) if degree in (1, 2, 3) else self.fit_kind,
+            kind=FitKind(degree),
             n_samples=int(mask.sum()),
         )
         entry.fit = fit

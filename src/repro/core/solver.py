@@ -19,36 +19,38 @@ power to same-type servers — so the decision variable is the *per-server*
 power ``p_i`` in the box ``[min_i, max_i]``, with group totals
 ``count_i * p_i`` bounded by the budget.
 
-Three mechanisms are combined for robustness:
+The solver is exact for every fit family the profiling database produces
+(linear and quadratic — the paper picks a quadratic precisely so that the
+program stays a QP with an analytic solution):
 
 1. **Subset enumeration** — powering a server below idle wastes the whole
    allocation, so the solver explicitly considers switching entire groups
    off (all 2^k - 1 non-empty subsets; the paper bounds k at 3).
 2. **KKT candidate enumeration** — inside a subset the objective is a
-   pure quadratic over a box intersected with one budget hyperplane, so
-   every KKT point is the solution of a tiny linear system: each group is
-   at its lower bound, upper bound, or free with equal marginal
-   throughput-per-watt (the water-filling condition
-   ``f_i'(p_i) = lambda``).  All candidates are enumerated and scored;
-   this is exact for quadratic projections.
-3. **Grid safety net** — a simplex sweep at configurable granularity
-   guards against degenerate fits (non-concave parabolas from noisy
-   samples, linear fall-backs) where the KKT enumeration may miss the
-   global maximum.
+   separable quadratic over a box intersected with one budget halfspace,
+   so some maximiser is a KKT point: each group is at its lower bound,
+   upper bound, or free with equal marginal throughput-per-watt (the
+   water-filling condition ``f_i'(p_i) = lambda``).  Every such point is
+   the solution of a tiny linear system.  A free *linear* group fixes
+   ``lambda`` to its slope and takes whatever budget the others leave;
+   two free linear groups with equal slopes can trade power at no cost
+   until one meets a bound, so that assignment adds nothing new.  Concave,
+   convex and linear fits are all covered; candidates are scored on the
+   clamped projections and the best wins.
 
-The same machinery at 10% granularity with the *measured* objective is
-exactly the paper's Manual baseline (:meth:`PARSolver.compositions`).
+The paper's Manual baseline — every PAR composition at 10% granularity
+scored on the *measured* objective — is :meth:`PARSolver.exhaustive`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.database import PerfPowerFit
 from repro.errors import SolverError
@@ -67,11 +69,9 @@ _CACHE_LOOKUPS = _REGISTRY.counter(
 )
 _CACHE_HIT = _CACHE_LOOKUPS.labels("hit")
 _CACHE_MISS = _CACHE_LOOKUPS.labels("miss")
-_CACHE_STALE = _CACHE_LOOKUPS.labels("stale")
 
-#: Feasibility slack shared by every mechanism: a solution may exceed the
-#: budget by at most this many watts (floating-point headroom, far below
-#: meter noise).
+#: Feasibility slack: a solution may exceed the budget by at most this many
+#: watts (floating-point headroom, far below meter noise).
 FEASIBILITY_SLACK_W = 1e-6
 
 
@@ -112,8 +112,8 @@ class PARSolution:
     expected_perf:
         Projected aggregate performance under the database fits.
     method:
-        Which mechanism produced the winner (``"kkt"``, ``"grid"``, or
-        ``"uniform-fallback"``).
+        Which solver produced it: ``"kkt"`` (:class:`PARSolver`) or
+        ``"kkt-partial"`` (:class:`PartialGroupSolver`).
     """
 
     ratios: tuple[float, ...]
@@ -136,52 +136,39 @@ class PARSolver:
 
     Parameters
     ----------
-    granularity:
-        Step of the grid safety net for <= 2 groups (finer) — 3-group
-        racks use ``coarse_granularity`` to keep the sweep cheap.
-    coarse_granularity:
-        Simplex step used when there are 3 or more groups.
     max_groups:
         Sanity bound; the paper's rack-level deployment caps at 3 types.
+    safety_margin:
+        Relative padding above each fit's power-on boundary (see
+        :meth:`_lo`).
     cache_size:
         Capacity of the per-instance solve memoization cache (``0``
         disables it).  Solutions are keyed on the group fits'
-        coefficients and bounds, the group counts, and the budget
-        quantized to :data:`CACHE_BUDGET_QUANTUM_W` — so the cyclic
-        budgets of a constrained-supply sweep, which re-pose the exact
-        same program dozens of times per run, solve once.
+        coefficients and bounds, the group counts, and the exact budget
+        — so the cyclic budgets of a constrained-supply sweep, which
+        re-pose the exact same program dozens of times per run, solve
+        once, and a hit is always the answer to the program posed.
     """
 
-    #: Budget quantization step (W) for the memoization key.  Far below
-    #: meter noise, so only numerically identical programs ever collide.
-    CACHE_BUDGET_QUANTUM_W = 1e-6
+    #: The solver has no numerical polish stage; kept as a read-only
+    #: attribute for instrumentation that tags polished solves.
+    scipy_polish = False
 
     def __init__(
         self,
-        granularity: float = 0.01,
-        coarse_granularity: float = 0.04,
         max_groups: int = 4,
         safety_margin: float = 0.05,
-        scipy_polish: bool = True,
         cache_size: int = 1024,
     ) -> None:
-        if not 0.0 < granularity <= 0.5:
-            raise SolverError("granularity must be in (0, 0.5]")
-        if not 0.0 < coarse_granularity <= 0.5:
-            raise SolverError("coarse granularity must be in (0, 0.5]")
         if safety_margin < 0:
             raise SolverError("safety margin must be non-negative")
         if cache_size < 0:
             raise SolverError("cache size must be non-negative")
-        self.granularity = granularity
-        self.coarse_granularity = coarse_granularity
         self.max_groups = max_groups
         self.safety_margin = safety_margin
-        self.scipy_polish = scipy_polish
         self.cache_size = cache_size
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_stale_hits = 0
         self._cache: dict[tuple, PARSolution] = {}
 
     def _lo(self, fit: PerfPowerFit) -> float:
@@ -203,14 +190,14 @@ class PARSolver:
 
         Solutions are memoized per instance (see ``cache_size``): a call
         whose groups carry the same fitted coefficients/bounds and counts
-        under the same quantized budget returns the cached
-        :class:`PARSolution` (frozen, so sharing is safe) without
-        re-running the enumeration.
+        under the same budget returns the cached :class:`PARSolution`
+        (frozen, so sharing is safe) without re-running the enumeration.
 
         Raises
         ------
         SolverError
-            On empty input, too many groups, or a negative budget.
+            On empty input, too many groups, or a negative or non-finite
+            budget.
         """
         self._validate_inputs(groups, total_power_w)
         start = perf_counter()
@@ -222,22 +209,10 @@ class PARSolver:
             key = self._cache_key(groups, total_power_w)
             cached = self._cache.get(key)
             if cached is not None:
-                if self._feasible_for(cached, groups, total_power_w):
-                    self.cache_hits += 1
-                    _CACHE_HIT.inc()
-                    _SOLVES_TOTAL.labels("cached").inc()
-                    return cached
-                # Stale hit: the quantized key collided with a solve done
-                # under a (slightly) larger budget, so replaying the cached
-                # allocation would overdraw this one.  Re-solve at the
-                # exact budget and overwrite the entry — the replacement is
-                # feasible for this and any larger budget in the quantum.
-                self.cache_stale_hits += 1
-                _CACHE_STALE.inc()
-                solution = self._solve_impl(groups, total_power_w)
-                _SOLVES_TOTAL.labels(solution.method).inc()
-                self._cache[key] = solution
-                return solution
+                self.cache_hits += 1
+                _CACHE_HIT.inc()
+                _SOLVES_TOTAL.labels("cached").inc()
+                return cached
             self.cache_misses += 1
             _CACHE_MISS.inc()
             solution = self._solve_impl(groups, total_power_w)
@@ -251,86 +226,6 @@ class PARSolver:
         finally:
             _SOLVE_SECONDS.observe(perf_counter() - start)
 
-    #: Mechanisms :meth:`solve_via` can force.
-    METHODS = ("kkt", "grid", "slsqp")
-
-    def solve_via(
-        self, groups: Sequence[GroupModel], total_power_w: float, method: str
-    ) -> PARSolution:
-        """Solve with exactly one mechanism — the differential-check API.
-
-        ``method`` is one of :data:`METHODS`: ``"kkt"`` runs only the
-        analytic KKT candidate enumeration, ``"grid"`` only the dense
-        simplex sweep, and ``"slsqp"`` forces the scipy path (one SLSQP
-        run per powered subset from a feasible interior start).  No
-        memoization, no cross-mechanism arbitration — so
-        :mod:`repro.verify.differential` can compare the mechanisms
-        against each other.
-
-        Raises
-        ------
-        SolverError
-            On invalid inputs or an unknown ``method``.
-        """
-        self._validate_inputs(groups, total_power_w)
-        if method not in self.METHODS:
-            raise SolverError(
-                f"unknown solve method {method!r}; expected one of {self.METHODS}"
-            )
-        k = len(groups)
-        zero = PARSolution((0.0,) * k, (0.0,) * k, 0.0, method)
-        if total_power_w == 0:
-            return zero
-
-        if method == "kkt":
-            best_p: tuple[float, ...] = (0.0,) * k
-            best_score = 0.0
-            for candidate in self._kkt_candidates(groups, total_power_w):
-                score = self._score(groups, candidate)
-                if score > best_score:
-                    best_p, best_score = candidate, score
-        elif method == "grid":
-            best_p, best_score = self._grid_best(groups, total_power_w)
-        else:
-            best_p, best_score = self._slsqp_best(groups, total_power_w)
-
-        if best_score <= 0.0:
-            return zero
-        return self._to_solution(
-            groups, tuple(best_p), best_score, method, total_power_w
-        )
-
-    def _slsqp_best(
-        self, groups: Sequence[GroupModel], budget_w: float
-    ) -> tuple[tuple[float, ...], float]:
-        """Best SLSQP result over all feasible powered subsets."""
-        k = len(groups)
-        best_p: tuple[float, ...] = (0.0,) * k
-        best_score = 0.0
-        for powered in itertools.product((False, True), repeat=k):
-            if not any(powered):
-                continue
-            on = [i for i in range(k) if powered[i]]
-            lo = {i: self._lo(groups[i].fit) for i in on}
-            min_total = sum(groups[i].count * lo[i] for i in on)
-            if min_total > budget_w + FEASIBILITY_SLACK_W:
-                continue
-            # Feasible interior start: walk each group halfway from its
-            # lower bound toward its plateau, scaled so the subset stays
-            # inside the budget.
-            span = {i: max(0.0, groups[i].fit.max_power_w - lo[i]) for i in on}
-            denom = sum(groups[i].count * span[i] for i in on)
-            t = 1.0 if denom <= 0 else min(1.0, (budget_w - min_total) / denom)
-            start = [0.0] * k
-            for i in on:
-                start[i] = lo[i] + 0.5 * t * span[i]
-            polished = self._polish(groups, budget_w, tuple(start))
-            if polished is not None:
-                p, score = polished
-                if score > best_score:
-                    best_p, best_score = p, score
-        return best_p, best_score
-
     # ------------------------------------------------------------------
     # Memoization
     # ------------------------------------------------------------------
@@ -343,48 +238,27 @@ class PARSolver:
             raise SolverError(
                 f"{len(groups)} groups exceeds max_groups={self.max_groups}"
             )
-        if total_power_w < 0:
-            raise SolverError(f"budget must be non-negative, got {total_power_w}")
+        if not (math.isfinite(total_power_w) and total_power_w >= 0):
+            raise SolverError(
+                f"budget must be finite and non-negative, got {total_power_w}"
+            )
 
-    def _cache_key(
-        self, groups: Sequence[GroupModel], total_power_w: float
-    ) -> tuple:
+    @staticmethod
+    def _cache_key(groups: Sequence[GroupModel], total_power_w: float) -> tuple:
         return (
             tuple(
                 (g.count, g.fit.coefficients, g.fit.min_power_w, g.fit.max_power_w)
                 for g in groups
             ),
-            round(total_power_w / self.CACHE_BUDGET_QUANTUM_W),
+            total_power_w,
         )
-
-    @staticmethod
-    def _feasible_for(
-        solution: PARSolution, groups: Sequence[GroupModel], total_power_w: float
-    ) -> bool:
-        """Whether ``solution``'s allocation fits under ``total_power_w``.
-
-        The budget quantization of :meth:`_cache_key` means a cached
-        solution may have been produced under a budget up to half a
-        quantum larger than the one now posed; replaying it would then
-        allocate more than the rack is actually granted.  Validated with
-        the solver's own :data:`FEASIBILITY_SLACK_W`, so a fresh solve
-        (which is allowed that same slack) always validates.
-        """
-        counts = (
-            solution.powered_counts
-            if solution.powered_counts is not None
-            else tuple(g.count for g in groups)
-        )
-        total = sum(k * p for k, p in zip(counts, solution.per_server_w))
-        return total <= total_power_w + FEASIBILITY_SLACK_W
 
     def cache_info(self) -> dict[str, float]:
-        """Hit/miss/stale counters and the current hit rate of the solve cache."""
-        total = self.cache_hits + self.cache_misses + self.cache_stale_hits
+        """Hit/miss counters and the current hit rate of the solve cache."""
+        total = self.cache_hits + self.cache_misses
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "stale_hits": self.cache_stale_hits,
             "size": len(self._cache),
             "hit_rate": self.cache_hits / total if total else 0.0,
         }
@@ -394,39 +268,21 @@ class PARSolver:
         self._cache.clear()
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_stale_hits = 0
 
     def _solve_impl(
         self, groups: Sequence[GroupModel], total_power_w: float
     ) -> PARSolution:
         k = len(groups)
-        zero = PARSolution((0.0,) * k, (0.0,) * k, 0.0, "kkt")
-        if total_power_w == 0:
-            return zero
-
         best_p: tuple[float, ...] = (0.0,) * k
         best_score = 0.0
-        best_method = "kkt"
-
-        for candidate in self._kkt_candidates(groups, total_power_w):
-            score = self._score(groups, candidate)
-            if score > best_score:
-                best_p, best_score, best_method = candidate, score, "kkt"
-
-        grid_p, grid_score = self._grid_best(groups, total_power_w)
-        if grid_score > best_score + 1e-12:
-            best_p, best_score, best_method = grid_p, grid_score, "grid"
-
-        if self.scipy_polish and best_score > 0.0:
-            polished = self._polish(groups, total_power_w, best_p)
-            if polished is not None:
-                p, score = polished
-                if score > best_score + 1e-9:
-                    best_p, best_score, best_method = p, score, "slsqp"
-
+        if total_power_w > 0:
+            for candidate in self._kkt_candidates(groups, total_power_w):
+                score = self._score(groups, candidate)
+                if score > best_score:
+                    best_p, best_score = candidate, score
         if best_score <= 0.0:
-            return zero
-        return self._to_solution(groups, best_p, best_score, best_method, total_power_w)
+            return PARSolution((0.0,) * k, (0.0,) * k, 0.0, "kkt")
+        return self._to_solution(groups, best_p, best_score, "kkt", total_power_w)
 
     @staticmethod
     def compositions(k: int, granularity: float = 0.1) -> list[tuple[float, ...]]:
@@ -481,13 +337,14 @@ class PARSolver:
             g.count * g.fit.predict(p) for g, p in zip(groups, per_server_w)
         )
 
+    @staticmethod
     def _to_solution(
-        self,
         groups: Sequence[GroupModel],
         per_server_w: tuple[float, ...],
         score: float,
         method: str,
         total_power_w: float,
+        powered_counts: tuple[int, ...] | None = None,
     ) -> PARSolution:
         # Never hand a server more than its plateau: trimming to max_w
         # keeps performance identical and releases power to the battery.
@@ -495,15 +352,9 @@ class PARSolver:
             min(p, g.fit.max_power_w) if p > 0 else 0.0
             for g, p in zip(groups, per_server_w)
         )
-        ratios = tuple(
-            g.count * p / total_power_w for g, p in zip(groups, trimmed)
-        )
-        return PARSolution(
-            ratios=ratios,
-            per_server_w=trimmed,
-            expected_perf=score,
-            method=method,
-        )
+        counts = powered_counts or tuple(g.count for g in groups)
+        ratios = tuple(k * p / total_power_w for k, p in zip(counts, trimmed))
+        return PARSolution(ratios, trimmed, score, method, powered_counts)
 
     # ------------------------------------------------------------------
     # KKT enumeration
@@ -579,110 +430,38 @@ class PARSolver:
                     yield candidate
 
             # Budget-tight stationary point: f_i'(p_i) = lambda for free i,
-            # sum count_i p_i = budget.  Solve the 1-D linear system for
-            # lambda: p_i = (lambda - m_i) / (2 l_i).
-            denom = 0.0
-            offset = 0.0
-            degenerate = False
-            for i in free:
-                fit = groups[i].fit
-                if abs(fit.l) < 1e-15:
-                    degenerate = True
-                    break
-                denom += groups[i].count / (2.0 * fit.l)
-                offset += groups[i].count * fit.m / (2.0 * fit.l)
-            if degenerate or abs(denom) < 1e-15:
+            # sum count_i p_i = budget, with p_i = (lambda - m_i) / (2 l_i)
+            # for a curved group.  A free linear group pins lambda to its
+            # slope and takes the budget the others leave; with no linear
+            # group, solve the 1-D linear system for lambda.
+            linear = [i for i in free if abs(groups[i].fit.l) < 1e-15]
+            if len(linear) > 1:
                 continue
+            curved = [i for i in free if i not in linear]
             remaining = budget_w - fixed_total
-            lam = (remaining + offset) / denom
+            if linear:
+                lam = groups[linear[0]].fit.m
+            else:
+                denom = sum(groups[i].count / (2.0 * groups[i].fit.l) for i in curved)
+                if abs(denom) < 1e-15:
+                    continue
+                offset = sum(
+                    groups[i].count * groups[i].fit.m / (2.0 * groups[i].fit.l)
+                    for i in curved
+                )
+                lam = (remaining + offset) / denom
             tight: dict[int, float] = dict(fixed)
-            for i in free:
+            for i in curved:
                 fit = groups[i].fit
                 tight[i] = (lam - fit.m) / (2.0 * fit.l)
+            if linear:
+                j = linear[0]
+                tight[j] = (
+                    remaining - sum(groups[i].count * tight[i] for i in curved)
+                ) / groups[j].count
             candidate = assemble(tight)
             if candidate is not None:
                 yield candidate
-
-    # ------------------------------------------------------------------
-    # SLSQP polish: refine the winning candidate within its powered
-    # subset's box.  Exact KKT already handles pure quadratics; the
-    # polish pays off when the grid's coarse step won (3-group racks,
-    # degenerate fits).
-    # ------------------------------------------------------------------
-    def _polish(
-        self,
-        groups: Sequence[GroupModel],
-        budget_w: float,
-        start: tuple[float, ...],
-    ) -> tuple[tuple[float, ...], float] | None:
-        on = [i for i, p in enumerate(start) if p > 0.0]
-        if not on:
-            return None
-        bounds = [
-            (self._lo(groups[i].fit), max(self._lo(groups[i].fit), groups[i].fit.max_power_w))
-            for i in on
-        ]
-        counts = np.array([groups[i].count for i in on], dtype=float)
-        x0 = np.array([min(max(start[i], b[0]), b[1]) for i, b in zip(on, bounds)])
-        if counts @ x0 > budget_w + FEASIBILITY_SLACK_W:
-            return None
-
-        def negative_perf(x: np.ndarray) -> float:
-            return -sum(
-                groups[i].count * groups[i].fit.predict(float(xi))
-                for i, xi in zip(on, x)
-            )
-
-        result = optimize.minimize(
-            negative_perf,
-            x0=x0,
-            bounds=bounds,
-            constraints=[
-                {"type": "ineq", "fun": lambda x: budget_w - float(counts @ x)}
-            ],
-            method="SLSQP",
-        )
-        if not result.success:
-            return None
-        if float(counts @ result.x) > budget_w + FEASIBILITY_SLACK_W:
-            return None
-        p = [0.0] * len(groups)
-        for i, xi in zip(on, result.x):
-            p[i] = float(xi)
-        return tuple(p), self._score(groups, p)
-
-    # ------------------------------------------------------------------
-    # Grid safety net (vectorised: the 3-group simplex has ~10^4 points)
-    # ------------------------------------------------------------------
-    def _predict_array(self, fit: PerfPowerFit, p: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`PerfPowerFit.predict` with the safety margin."""
-        clamped = np.minimum(p, fit.max_power_w)
-        values = np.maximum(np.polyval(fit.coefficients, clamped), 0.0)
-        return np.where(p < self._lo(fit), 0.0, values)
-
-    def _grid_best(
-        self, groups: Sequence[GroupModel], budget_w: float
-    ) -> tuple[tuple[float, ...], float]:
-        k = len(groups)
-        step = self.granularity if k <= 2 else self.coarse_granularity
-        n_steps = int(round(1.0 / step))
-        fractions = np.linspace(0.0, 1.0, n_steps + 1)
-
-        grids = np.meshgrid(*([fractions] * k), indexing="ij")
-        etas = np.stack([g.ravel() for g in grids], axis=0)  # (k, n_points)
-        feasible = etas.sum(axis=0) <= 1.0 + 1e-12
-        etas = etas[:, feasible]
-
-        scores = np.zeros(etas.shape[1])
-        for i, group in enumerate(groups):
-            per_server = etas[i] * budget_w / group.count
-            scores += group.count * self._predict_array(group.fit, per_server)
-
-        best_idx = int(np.argmax(scores))
-        best_p = tuple(
-            float(etas[i, best_idx] * budget_w / groups[i].count) for i in range(k)
-        )
-        return best_p, float(scores[best_idx])
 
 
 class PartialGroupSolver(PARSolver):
@@ -768,17 +547,6 @@ class PartialGroupSolver(PARSolver):
 
         if best_score <= 0.0:
             return zero
-        trimmed = tuple(
-            min(p, g.fit.max_power_w) if p > 0 else 0.0
-            for g, p in zip(groups, best_p)
-        )
-        ratios = tuple(
-            ki * p / total_power_w for ki, p in zip(best_k, trimmed)
-        )
-        return PARSolution(
-            ratios=ratios,
-            per_server_w=trimmed,
-            expected_perf=best_score,
-            method="kkt-partial",
-            powered_counts=best_k,
+        return self._to_solution(
+            groups, best_p, best_score, "kkt-partial", total_power_w, best_k
         )

@@ -5,7 +5,7 @@
 Three serving behaviours matter beyond plain dispatch:
 
 * **Request coalescing.**  Solver calls are the expensive path, so
-  concurrent ``allocate`` queries against the same rack and (quantized)
+  concurrent ``allocate`` queries against the same rack and the same
   budget share one in-flight solve: the first query computes in a
   worker thread, the rest await its future.  Together with the
   :class:`~repro.core.solver.PARSolver` memo cache this means a burst
@@ -37,7 +37,6 @@ from typing import Any, TextIO
 
 from time import perf_counter
 
-from repro.core.solver import PARSolver
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import REGISTRY as _REGISTRY
 from repro.serve.protocol import (
@@ -70,8 +69,8 @@ _COALESCED_TOTAL = _REGISTRY.counter(
 _CHECKPOINT_SECONDS = _REGISTRY.histogram(
     "repro_serve_checkpoint_seconds", "Fleet checkpoint wall time"
 )
-# Registered by repro.core.solver (imported above); re-declared here to
-# hold a direct reference for the cache-stats obs view.
+# Registered by repro.core.solver; re-declaring returns the same family and
+# holds a direct reference for the cache-stats obs view.
 _SOLVER_CACHE_LOOKUPS = _REGISTRY.counter(
     "repro_solver_cache_lookups_total", "Solve-cache lookups", labelnames=("result",)
 )
@@ -359,7 +358,9 @@ class AllocationDaemon:
             # queries coalesce with explicit ones.
             budget = host.plan_budget_w()
 
-        key = (host.name, round(budget / PARSolver.CACHE_BUDGET_QUANTUM_W))
+        # Exact budget: a query may only share an answer solved for the
+        # very budget it asked for, or it could overdraw its own.
+        key = (host.name, budget)
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.counters["coalesced"] += 1

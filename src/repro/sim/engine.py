@@ -133,7 +133,7 @@ class Simulation:
             Master seed for trace synthesis and measurement noise.
         fit_kind:
             Database curve-fit family (quadratic in the paper; linear
-            and cubic for the ablation).
+            for the ablation).
         supply_fractions:
             Constrained-supply mode (the Section III-B fixed-budget
             methodology): each epoch's rack budget is forced to

@@ -5,8 +5,8 @@ Two complementary harnesses:
 * :mod:`repro.verify.auditor` — per-epoch invariant auditing of the
   simulation's power accounting (wired into
   :class:`~repro.sim.engine.Simulation` behind ``strict=``/``--strict``);
-* :mod:`repro.verify.differential` — cross-checking the PAR solver's
-  three mechanisms on a seeded randomized corpus;
+* :mod:`repro.verify.differential` — checking the PAR solver against
+  grid, SLSQP and brute-force oracles on a seeded randomized corpus;
 * :mod:`repro.verify.fuzz` — checkpoint round-trip fuzzing for
   serve/shift state;
 * :mod:`repro.verify.reference` — strict-mode end-to-end reference

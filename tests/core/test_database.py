@@ -36,6 +36,12 @@ class TestPerfPowerFit:
         assert fit.m == 10.0
         assert fit.n == 50.0
 
+    def test_cubic_and_empty_fits_rejected(self):
+        # The PAR solver is exact for degree <= 2 only.
+        for coefficients in ((1e-4, -2.0, 600.0, -20000.0), ()):
+            with pytest.raises(ConfigurationError):
+                self._fit(coefficients=coefficients)
+
     def test_zero_below_min(self):
         assert self._fit().predict(90.0) == 0.0
 

@@ -73,6 +73,17 @@ class TestPartialGroupSolver:
         sol = PartialGroupSolver(safety_margin=0.0).solve([BIG, SMALL], 700.0)
         assert sol.method == "kkt-partial"
 
+    def test_linear_fit_uses_the_budget_vertex(self):
+        # Perf = 5 P on [100, 200] W: three servers at 150 W (2250) beat
+        # two at their 200 W plateau (2000).
+        line = PerfPowerFit(coefficients=(5.0, 0.0), min_power_w=100.0, max_power_w=200.0)
+        sol = PartialGroupSolver(safety_margin=0.0).solve(
+            [GroupModel("lin", 3, line)], 450.0
+        )
+        assert sol.powered_counts == (3,)
+        assert sol.per_server_w == pytest.approx((150.0,), rel=1e-12)
+        assert sol.expected_perf == pytest.approx(2250.0, rel=1e-12)
+
 
 class TestEnforcerPartial:
     def test_powers_first_k_servers(self):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.database import FitKind, PerfPowerFit
-from repro.core.solver import GroupModel, PARSolver
+from repro.core.solver import FEASIBILITY_SLACK_W, GroupModel, PARSolver
 from repro.errors import SolverError
+from repro.verify.differential import METHODS, solve_via
 
 
 def make_fit(l, m, n, lo, hi):
@@ -22,6 +23,24 @@ def concave_group(name="A", count=5, t_max=100.0, lo=95.0, hi=150.0):
     m = 2 * t_max * hi / span**2
     n = t_max - t_max * hi**2 / span**2
     return GroupModel(name=name, count=count, fit=make_fit(l, m, n, lo, hi))
+
+
+def linear_group(count):
+    """``Perf = 5 P`` on the box [100, 200] W: no curvature at all."""
+    fit = PerfPowerFit(coefficients=(5.0, 0.0), min_power_w=100.0,
+                       max_power_w=200.0, kind=FitKind.LINEAR)
+    return GroupModel("lin", count, fit)
+
+
+def allocated_w(groups, sol):
+    return sum(g.count * p for g, p in zip(groups, sol.per_server_w))
+
+
+THREE_GROUPS = [
+    concave_group("A", 5, t_max=100.0, lo=95.0, hi=150.0),
+    concave_group("B", 5, t_max=40.0, lo=58.0, hi=75.0),
+    concave_group("C", 5, t_max=60.0, lo=52.0, hi=80.0),
+]
 
 
 @pytest.fixture
@@ -73,15 +92,36 @@ class TestBasics:
         with pytest.raises(SolverError):
             solver.solve([concave_group()], -1.0)
 
+    def test_non_finite_budget_rejected(self, solver):
+        for budget in (float("nan"), float("inf")):
+            with pytest.raises(SolverError):
+                solver.solve([concave_group()], budget)
+
+    def test_three_groups_respect_budget(self, solver):
+        for budget in (600.0, 850.0, 1000.0, 1200.0):
+            sol = solver.solve(THREE_GROUPS, budget)
+            assert allocated_w(THREE_GROUPS, sol) <= budget + FEASIBILITY_SLACK_W
+
+    def test_three_groups_respect_boxes(self):
+        solver = PARSolver(safety_margin=0.05)
+        for budget in (700.0, 1500.0):
+            sol = solver.solve(THREE_GROUPS, budget)
+            for group, p in zip(THREE_GROUPS, sol.per_server_w):
+                if p > 0:
+                    assert p >= group.fit.min_power_w * 1.05 - 1e-9
+                    assert p <= group.fit.max_power_w + 1e-9
+
+    def test_method_label(self, solver):
+        assert solver.solve(THREE_GROUPS, 1000.0).method == "kkt"
+        assert solver.solve(THREE_GROUPS, 0.0).method == "kkt"
+
     def test_too_many_groups_rejected(self):
         solver = PARSolver(max_groups=2)
         groups = [concave_group(str(i)) for i in range(3)]
         with pytest.raises(SolverError):
             solver.solve(groups, 1000.0)
 
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(SolverError):
-            PARSolver(granularity=0.0)
+    def test_bad_safety_margin_rejected(self):
         with pytest.raises(SolverError):
             PARSolver(safety_margin=-0.1)
 
@@ -156,11 +196,40 @@ class TestOptimality:
         assert total <= 1000.0 + 1e-6
 
     def test_non_concave_fit_handled_by_grid(self, solver):
-        # A convex (bowl) fit from degenerate samples: optimum at a box
-        # corner; the grid safety net must still find something sane.
+        # A convex (bowl) fit from degenerate samples: the optimum is the
+        # upper box corner, which the KKT enumeration hits exactly.
         convex = GroupModel("X", 2, make_fit(0.5, -50.0, 2000.0, 60.0, 100.0))
         sol = solver.solve([convex], 200.0)
-        assert sol.expected_perf == pytest.approx(2 * convex.fit.predict(100.0), rel=0.05)
+        assert sol.per_server_w == (100.0,)
+        assert sol.expected_perf == 2 * convex.fit.predict(100.0)
+
+
+class TestLinearFits:
+    """A free linear group sits on the budget-tight vertex: lambda is its
+    slope and it takes whatever budget the other groups leave."""
+
+    def test_single_linear_server_takes_the_whole_budget(self, solver):
+        sol = solver.solve([linear_group(1)], 150.0)
+        assert sol.per_server_w == (150.0,)
+        assert sol.expected_perf == pytest.approx(750.0, rel=1e-12)
+
+    def test_curved_group_meets_the_linear_slope(self, solver):
+        groups = [concave_group("A", 1, t_max=100.0, lo=50.0, hi=80.0), linear_group(1)]
+        sol = solver.solve(groups, 250.0)
+        # lambda = 5: A runs where its marginal perf/W falls to the
+        # line's slope, (5 - m) / 2l = 57.5 W, and the line takes the
+        # remaining 192.5 W.  f_A(57.5) = 100 * (1 - (22.5 / 30)^2); this
+        # beats A off and the line at its 200 W plateau (1000).
+        assert sol.per_server_w == pytest.approx((57.5, 192.5), rel=1e-12)
+        assert sol.expected_perf == pytest.approx(43.75 + 962.5, rel=1e-12)
+
+    def test_two_linear_groups_share_the_budget_optimally(self, solver):
+        steep = GroupModel("steep", 1, make_fit(0.0, 7.0, 0.0, 100.0, 200.0))
+        groups = [linear_group(1), steep]
+        sol = solver.solve(groups, 350.0)
+        # Steeper line to its plateau, the rest to the shallower one.
+        assert sol.per_server_w == pytest.approx((150.0, 200.0), rel=1e-12)
+        assert sol.expected_perf == pytest.approx(750.0 + 1400.0, rel=1e-12)
 
 
 class TestSafetyMargin:
@@ -261,7 +330,7 @@ class TestMemoization:
         assert info["size"] == 1
         solver.clear_cache()
         assert solver.cache_info() == {
-            "hits": 0, "misses": 0, "stale_hits": 0, "size": 0, "hit_rate": 0.0,
+            "hits": 0, "misses": 0, "size": 0, "hit_rate": 0.0,
         }
 
     def test_fifo_eviction_bounds_the_cache(self):
@@ -302,59 +371,50 @@ class TestMemoization:
 
 
 class TestStaleCacheHits:
-    """Quantized budget keys may collide across distinct budgets; a hit
-    must be revalidated against the *exact* budget before being replayed
-    (the cache-infeasibility fix)."""
-
-    class CoarseSolver(PARSolver):
-        # Widen the quantum so budgets 740 W and 660 W share a key
-        # (round(b / 100) == 7 for both) and the collision is testable.
-        CACHE_BUDGET_QUANTUM_W = 100.0
+    """The memo cache keys on the exact budget, so a hit is always the
+    answer to the very program posed — never one solved for a slightly
+    larger budget that would overdraw this one."""
 
     def groups(self):
         return [concave_group("A", 5, lo=95.0, hi=150.0)]
 
-    def test_stale_hit_is_revalidated_and_resolved(self):
-        solver = self.CoarseSolver(safety_margin=0.0)
-        big = solver.solve(self.groups(), 740.0)
-        assert sum(5 * p for p in big.per_server_w) > 660.0
-
-        second = solver.solve(self.groups(), 660.0)
-        total = sum(5 * p for p in second.per_server_w)
-        assert total <= 660.0 + 1e-6  # feasible for the *new* budget
-        assert solver.cache_stale_hits == 1
+    def test_budgets_1e7_w_apart_both_miss(self):
+        solver = PARSolver(safety_margin=0.0)
+        solver.solve(self.groups(), 660.0 + 1e-7)
+        solver.solve(self.groups(), 660.0)
+        assert solver.cache_misses == 2
         assert solver.cache_hits == 0
-        assert solver.cache_info()["stale_hits"] == 1
 
-    def test_stale_entry_is_overwritten(self):
-        solver = self.CoarseSolver(safety_margin=0.0)
-        solver.solve(self.groups(), 740.0)
-        second = solver.solve(self.groups(), 660.0)
-        third = solver.solve(self.groups(), 660.0)
-        assert third is second  # the re-solve replaced the entry
-        assert solver.cache_hits == 1
-        assert solver.cache_stale_hits == 1
+    def test_near_equal_budgets_each_get_a_feasible_answer(self):
+        solver = PARSolver(safety_margin=0.0)
+        groups = self.groups()
+        for budget in (660.0 + 1e-7, 660.0, 660.0 + 1e-7, 660.0):
+            sol = solver.solve(groups, budget)
+            assert allocated_w(groups, sol) <= budget
+        assert solver.cache_misses == 2
+        assert solver.cache_hits == 2
 
     def test_reintroduced_bug_yields_an_overdraw_the_check_catches(self):
-        # Re-introduce the pre-fix behavior (trust any key collision)
-        # and show (a) it replays an over-budget allocation and (b) the
-        # real feasibility check flags exactly that allocation.
-        class BuggySolver(self.CoarseSolver):
+        # Re-introduce the old quantized key (widened so that 740 W and
+        # 660 W collide) and show the budget check above catches exactly
+        # the allocation it replays.
+        class QuantizedSolver(PARSolver):
             @staticmethod
-            def _feasible_for(solution, groups, total_power_w):
-                return True
+            def _cache_key(groups, total_power_w):
+                return PARSolver._cache_key(groups, round(total_power_w / 100.0))
 
-        solver = BuggySolver(safety_margin=0.0)
+        solver = QuantizedSolver(safety_margin=0.0)
         groups = self.groups()
         solver.solve(groups, 740.0)
         stale = solver.solve(groups, 660.0)
-        total = sum(5 * p for p in stale.per_server_w)
-        assert total > 660.0 + 1.0  # the bug: budget silently violated
-        assert not PARSolver._feasible_for(stale, groups, 660.0)
-        assert PARSolver._feasible_for(stale, groups, 740.0)
+        assert solver.cache_hits == 1
+        assert allocated_w(groups, stale) > 660.0 + 1.0
+        assert allocated_w(groups, PARSolver(safety_margin=0.0).solve(groups, 660.0)) <= 660.0
 
 
 class TestSolveVia:
+    """The oracle API of :mod:`repro.verify.differential`."""
+
     def groups(self):
         return [
             concave_group("A", 5),
@@ -363,37 +423,30 @@ class TestSolveVia:
 
     def test_unknown_method_rejected(self, solver):
         with pytest.raises(SolverError):
-            solver.solve_via(self.groups(), 900.0, "annealing")
+            solve_via(solver, self.groups(), 900.0, "annealing")
 
     def test_methods_agree_on_a_simple_program(self, solver):
-        sols = {
-            m: solver.solve_via(self.groups(), 900.0, m)
-            for m in PARSolver.METHODS
-        }
+        sols = {m: solve_via(solver, self.groups(), 900.0, m) for m in METHODS}
         kkt = sols["kkt"].expected_perf
         assert sols["slsqp"].expected_perf == pytest.approx(kkt, rel=1e-3)
+        assert sols["brute"].expected_perf == pytest.approx(kkt, rel=1e-3)
         assert sols["grid"].expected_perf <= kkt + 1e-6
         assert sols["grid"].expected_perf >= 0.75 * kkt
 
     def test_zero_budget_is_the_zero_solution(self, solver):
-        for method in PARSolver.METHODS:
-            sol = solver.solve_via(self.groups(), 0.0, method)
+        for method in METHODS:
+            sol = solve_via(solver, self.groups(), 0.0, method)
             assert sol.expected_perf == 0.0
             assert set(sol.per_server_w) == {0.0}
 
     def test_method_is_recorded(self, solver):
-        for method in PARSolver.METHODS:
-            sol = solver.solve_via(self.groups(), 900.0, method)
+        for method in METHODS:
+            sol = solve_via(solver, self.groups(), 900.0, method)
             assert sol.method == method
 
     def test_forced_methods_never_overdraw(self, solver):
-        from repro.core.solver import FEASIBILITY_SLACK_W
-
         groups = self.groups()
         for budget in (500.0, 800.0, 1100.0, 2000.0):
-            for method in PARSolver.METHODS:
-                sol = solver.solve_via(groups, budget, method)
-                total = sum(
-                    g.count * p for g, p in zip(groups, sol.per_server_w)
-                )
-                assert total <= budget + FEASIBILITY_SLACK_W
+            for method in METHODS:
+                sol = solve_via(solver, groups, budget, method)
+                assert allocated_w(groups, sol) <= budget + FEASIBILITY_SLACK_W

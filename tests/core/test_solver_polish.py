@@ -1,9 +1,13 @@
-"""SLSQP polish stage of the PAR solver."""
+"""The SLSQP polish, kept as an oracle in :mod:`repro.verify.differential`.
 
-import pytest
+The production solver has no polish stage; these tests pin the oracle's
+own contract (budget, boxes, label) and that it cannot improve on the
+exact KKT answer.
+"""
 
 from repro.core.database import PerfPowerFit
 from repro.core.solver import GroupModel, PARSolver
+from repro.verify.differential import EXACT_REL_TOL, grid_best, polish, solve_via
 
 
 def concave(t_max, lo, hi):
@@ -21,54 +25,54 @@ THREE_GROUPS = [
 ]
 
 
+def allocated_w(sol):
+    return sum(g.count * p for g, p in zip(THREE_GROUPS, sol.per_server_w))
+
+
 class TestPolish:
     def test_polish_never_hurts(self):
-        plain = PARSolver(scipy_polish=False, safety_margin=0.0)
-        polished = PARSolver(scipy_polish=True, safety_margin=0.0)
+        # Polishing the solver's own answer cannot beat it: KKT is exact.
+        solver = PARSolver(safety_margin=0.0)
         for budget in (700.0, 900.0, 1100.0, 1300.0):
-            a = plain.solve(THREE_GROUPS, budget).expected_perf
-            b = polished.solve(THREE_GROUPS, budget).expected_perf
-            assert b >= a - 1e-9
+            sol = solver.solve(THREE_GROUPS, budget)
+            polished = polish(solver, THREE_GROUPS, budget, sol.per_server_w)
+            assert polished is not None
+            assert polished[1] <= sol.expected_perf * (1.0 + EXACT_REL_TOL)
 
     def test_polish_beats_coarse_grid_alone(self):
-        # Disable the KKT advantage by using a very coarse grid solver
-        # vs the same with polish: polish must close the gap.
-        coarse = PARSolver(
-            coarse_granularity=0.25, granularity=0.25,
-            scipy_polish=False, safety_margin=0.0,
-        )
-        refined = PARSolver(
-            coarse_granularity=0.25, granularity=0.25,
-            scipy_polish=True, safety_margin=0.0,
-        )
-        exact = PARSolver(safety_margin=0.0)
+        # The SLSQP oracle (a polish per powered subset) closes the gap a
+        # very coarse grid leaves to the exact optimum.
+        solver = PARSolver(safety_margin=0.0)
         budget = 1000.0
-        best = exact.solve(THREE_GROUPS, budget).expected_perf
-        with_polish = refined.solve(THREE_GROUPS, budget).expected_perf
-        without = coarse.solve(THREE_GROUPS, budget).expected_perf
-        assert with_polish >= without - 1e-9
-        assert with_polish >= 0.98 * best
+        _, coarse = grid_best(solver, THREE_GROUPS, budget, granularity=0.25)
+        best = solver.solve(THREE_GROUPS, budget).expected_perf
+        polished = solve_via(solver, THREE_GROUPS, budget, "slsqp").expected_perf
+        assert coarse < 0.9 * best
+        assert polished >= coarse - 1e-9
+        assert polished >= 0.98 * best
 
     def test_polish_respects_budget(self):
-        solver = PARSolver(scipy_polish=True, safety_margin=0.0)
+        solver = PARSolver(safety_margin=0.0)
         for budget in (600.0, 850.0, 1200.0):
-            sol = solver.solve(THREE_GROUPS, budget)
-            total = sum(
-                g.count * p for g, p in zip(THREE_GROUPS, sol.per_server_w)
-            )
-            assert total <= budget + 1e-4
+            sol = solve_via(solver, THREE_GROUPS, budget, "slsqp")
+            assert allocated_w(sol) <= budget + 1e-9
 
     def test_polish_respects_boxes(self):
-        solver = PARSolver(scipy_polish=True, safety_margin=0.05)
-        sol = solver.solve(THREE_GROUPS, 1500.0)
+        solver = PARSolver(safety_margin=0.05)
+        sol = solve_via(solver, THREE_GROUPS, 1500.0, "slsqp")
         for group, p in zip(THREE_GROUPS, sol.per_server_w):
             if p > 0:
-                assert p >= group.fit.min_power_w * 1.05 - 1e-6
-                assert p <= group.fit.max_power_w + 1e-6
+                assert p >= group.fit.min_power_w * 1.05 - 1e-9
+                assert p <= group.fit.max_power_w + 1e-9
 
     def test_method_label(self):
-        # With exact KKT available the polish rarely wins, but the label
-        # must be one of the three mechanisms.
-        solver = PARSolver(scipy_polish=True, safety_margin=0.0)
-        sol = solver.solve(THREE_GROUPS, 1000.0)
-        assert sol.method in ("kkt", "grid", "slsqp")
+        solver = PARSolver(safety_margin=0.0)
+        assert solve_via(solver, THREE_GROUPS, 1000.0, "slsqp").method == "slsqp"
+        assert solver.solve(THREE_GROUPS, 1000.0).method == "kkt"
+
+
+def test_over_budget_start_is_refused():
+    solver = PARSolver(safety_margin=0.0)
+    start = tuple(g.fit.max_power_w for g in THREE_GROUPS)
+    assert polish(solver, THREE_GROUPS, 500.0, start) is None
+

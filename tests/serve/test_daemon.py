@@ -160,6 +160,39 @@ class TestCoalescing:
         assert len(calls) == 1  # one executor solve served all three
         assert daemon.counters["coalesced"] == 2
 
+    def test_near_equal_budgets_are_not_coalesced(self, served):
+        # Budgets 1e-7 W apart are different programs: sharing one answer
+        # would hand the smaller budget an allocation solved for the
+        # larger one.
+        daemon, state = served
+        host = state.rack("rack0")
+        calls = []
+        original = host.allocate
+
+        def slow_allocate(budget_w=None):
+            calls.append(budget_w)
+            time.sleep(0.3)
+            return original(budget_w)
+
+        host.allocate = slow_allocate
+        budgets = (512.0 + 1e-7, 512.0)
+        results = {}
+
+        def query(budget):
+            with ServeClient(port=daemon.port) as c:
+                results[budget] = c.allocate("rack0", budget_w=budget)
+
+        threads = [threading.Thread(target=query, args=(b,)) for b in budgets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert sorted(calls) == sorted(budgets)
+        assert daemon.counters["coalesced"] == 0
+        for budget, result in results.items():
+            assert result["budget_w"] == budget
+            assert sum(result["group_budgets_w"]) <= budget + 1e-9
+
 
 class TestShutdown:
     def test_shutdown_op_checkpoints_and_stops(self, tmp_path):

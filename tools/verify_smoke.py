@@ -8,8 +8,9 @@ Three gates, in the order a regression would surface:
    default grid-backed supply and once in the constrained-supply
    (``supply_fractions``) regime.  Zero violations required.
 2. **Differential solver corpus**: 200 seeded randomized PAR programs
-   solved with each mechanism forced (KKT / grid / SLSQP) and
-   cross-checked for feasibility and agreement.
+   (linear, concave and convex fits) solved exactly and checked against
+   grid, SLSQP and brute-force oracles: every answer feasible, and no
+   oracle beating the solver.
 3. **Checkpoint round-trip fuzzing**: serve/shift state documents must
    be serialization fixed points under randomized state.
 
