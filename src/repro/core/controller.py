@@ -409,20 +409,26 @@ class GreenHeteroController:
         brownout = False
         soc_wh = self.pdu.battery.soc_wh
 
+        # States, load and powered counts are fixed for the epoch, so the
+        # noise-free samples and the rack totals are too; only metering
+        # and the PDU flows differ between substeps.
         states = [group_servers[0].state for group_servers in self.servers]
         effective = self._effective_counts(powered_counts)
+        samples = self._samples_for_states(states, load_fraction, effective)
+        draw_total = 0.0
+        rack_perf = 0.0
+        rack_useful = 0.0
+        for g, sample in enumerate(samples):
+            count = effective[g]
+            draw_total += count * sample.power_w
+            rack_perf += count * sample.throughput
+            if sample.throughput > 0.0:
+                rack_useful += count * sample.power_w * sample.utilization
         for i in range(N_SUBSTEPS):
             t_sub = time_s + i * sub_s
-            draw_total = 0.0
-            perf_total = 0.0
-            useful = 0.0
-            samples = self._samples_for_states(states, load_fraction, effective)
+            perf_total = rack_perf
+            useful = rack_useful
             for g, sample in enumerate(samples):
-                count = effective[g]
-                draw_total += count * sample.power_w
-                perf_total += count * sample.throughput
-                if sample.throughput > 0.0:
-                    useful += count * sample.power_w * sample.utilization
                 observations.append(
                     self.monitor.observe_server(sample, g, t_sub)
                 )

@@ -28,6 +28,7 @@ from repro.core.policies import Policy
 from repro.core.scheduler import AdaptiveScheduler
 from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY as _REGISTRY
+from repro.obs.tracing import trace as _trace
 from repro.power.battery import BatteryBank, UnlimitedSupply
 from repro.power.grid import GridSource
 from repro.power.pdu import PDU
@@ -86,6 +87,7 @@ class Simulation:
     auditor: "InvariantAuditor | None" = None
 
     @classmethod
+    @_trace("sim.assemble")
     def assemble(
         cls,
         policy: Policy,
@@ -271,6 +273,7 @@ class Simulation:
                 self.controller.rack, self.diurnal_load, self.seed
             )
 
+    @_trace("sim.pretrain")
     def _pretrain(self, pattern) -> None:
         """Prime the Holt predictors on the preceding day of history."""
         history_times = self.clock.history_times(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import TraceError
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -71,16 +72,18 @@ class DiurnalLoadPattern:
             self.evening_weight * bump(self.evening_peak_hour, self.evening_width_h)
         )
 
+    @cached_property
     def _peak_raw(self) -> float:
         # The maximum of the mixture occurs at (or extremely near) the
-        # taller bump's centre; sample finely once to be exact.
+        # taller bump's centre; sample finely once to be exact.  The
+        # pattern is frozen, so the peak is computed once per instance.
         return max(self._raw(h / 10.0) for h in range(0, 240))
 
     def at(self, time_s: float) -> float:
         """Load fraction at simulation time ``time_s`` (wraps weekly)."""
         hour = (time_s % SECONDS_PER_DAY) / SECONDS_PER_HOUR
         raw = self._raw(hour)
-        value = self.trough + (1.0 - self.trough) * raw / self._peak_raw()
+        value = self.trough + (1.0 - self.trough) * raw / self._peak_raw
         day_of_week = int(time_s // SECONDS_PER_DAY) % 7
         if day_of_week >= 5:
             value *= self.weekend_scale

@@ -132,6 +132,65 @@ class TestEnergyAccounting:
         assert record.case is PowerCase.B
 
 
+class TestSubsteps:
+    """The noise-free rack samples are computed once per epoch."""
+
+    def spy_samples(self, ctl):
+        calls = []
+        original = ctl._samples_for_states
+
+        def spy(*args, **kwargs):
+            samples = original(*args, **kwargs)
+            calls.append(samples)
+            return samples
+
+        ctl._samples_for_states = spy
+        return calls
+
+    def test_samples_once_per_epoch(self):
+        ctl = make_controller("GreenHetero")
+        calls = self.spy_samples(ctl)
+        for i in range(3):
+            ctl.run_epoch(NOON + i * 900.0, load_fraction=0.7)
+            assert len(calls) == i + 1
+
+    def test_forced_brownout_scales_each_substep(self):
+        # Night, one small battery, no grid, and a budget far above what
+        # the battery can deliver: every substep browns out.
+        rack = Rack([("E5-2620", 5), ("i5-4460", 5)], "SPECjbb")
+        trace = synthesize_irradiance(days=2, weather=Weather.HIGH, seed=3)
+        pdu = PDU(
+            SolarFarm.sized_for(trace, 1900.0),
+            BatteryBank(count=1, initial_soc_fraction=0.62),
+            GridSource(budget_w=0.0),
+        )
+        ctl = GreenHeteroController(
+            rack=rack, pdu=pdu, policy=make_policy("GreenHetero"), monitor=Monitor(seed=3)
+        )
+        ctl.budget_override = lambda t, d: 900.0
+        calls = self.spy_samples(ctl)
+        delivered = []
+        apply = ctl.enforcer.psc.apply
+
+        def spy_apply(decision, draw_w, time_s, duration_s):
+            flows = apply(decision, draw_w, time_s, duration_s)
+            delivered.append((flows.delivered_w, draw_w))
+            return flows
+
+        ctl.enforcer.psc.apply = spy_apply
+        record = ctl.run_epoch(MIDNIGHT, load_fraction=0.8)
+
+        assert record.brownout
+        assert len(calls) == 1 and len(delivered) == N_SUBSTEPS
+        counts = record.powered_counts or [g.count for g in rack.groups]
+        rack_perf = sum(n * s.throughput for n, s in zip(counts, calls[0]))
+        assert rack_perf > 0.0
+        assert all(d < draw for d, draw in delivered)
+        expected = sum(rack_perf * (d / draw) for d, draw in delivered) / N_SUBSTEPS
+        assert record.throughput == pytest.approx(expected, rel=1e-12)
+        assert record.throughput < rack_perf
+
+
 class TestLoadBalancing:
     def test_offered_load_reroutes_to_survivors(self):
         # At a budget where uniform sleeps the Xeons, interactive load

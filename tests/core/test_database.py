@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import FitKind, PerfPowerFit, ProfilingDatabase
 from repro.errors import ConfigurationError, DatabaseMissError
@@ -73,6 +75,21 @@ class TestPerfPowerFit:
     def test_negative_min_rejected(self):
         with pytest.raises(ConfigurationError):
             self._fit(min_power_w=-1.0)
+
+
+_COEFFICIENT = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    coefficients=st.lists(_COEFFICIENT, min_size=1, max_size=3),
+    power_w=st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_raw_is_bit_identical_to_polyval(coefficients, power_w):
+    # `raw` is a pure-Python Horner loop; it must agree with numpy's
+    # exactly, not approximately, or the solver's answers would move.
+    fit = PerfPowerFit(coefficients=tuple(coefficients), min_power_w=0.0, max_power_w=1.0)
+    assert fit.raw(power_w) == float(np.polyval(fit.coefficients, power_w))
 
 
 class TestTrainingRun:

@@ -105,6 +105,29 @@ class TestSimulationInstrumentation:
             assert hist_count("repro_span_seconds", phase) == before + 3, phase
 
 
+    def test_assemble_and_pretrain_spans(self, enabled):
+        spans = REGISTRY.get("repro_span_seconds")
+        names = ("sim.assemble", "sim.pretrain")
+        count0 = {name: spans.labels(name).count for name in names}
+        sum0 = {name: spans.labels(name).sum for name in names}
+        sim = Simulation.assemble(
+            policy=make_policy("GreenHetero"),
+            rack=Rack([("E5-2620", 2), ("i5-4460", 2)], "SPECjbb"),
+            clock=SimClock(start_s=SECONDS_PER_DAY, duration_s=2 * 900.0),
+            seed=7,
+        )
+        for name in names:
+            assert spans.labels(name).count == count0[name] + 1, name
+        assemble_s = spans.labels("sim.assemble").sum - sum0["sim.assemble"]
+        pretrain_s = spans.labels("sim.pretrain").sum - sum0["sim.pretrain"]
+        # Pretraining is part of set-up, so its span nests inside assemble's.
+        assert 0.0 < pretrain_s <= assemble_s
+        # Set-up spans only: stepping adds none.
+        sim.run()
+        for name in names:
+            assert spans.labels(name).count == count0[name] + 1, name
+
+
 class TestShiftInstrumentation:
     def test_plan_counts_candidates_and_placements(self, enabled):
         queue = JobQueue()

@@ -46,6 +46,31 @@ class TestShape:
         assert pattern(hours(12)) == pattern.at(hours(12))
 
 
+class TestPeakCache:
+    def test_peak_is_computed_once_per_pattern(self, monkeypatch):
+        calls = 0
+        raw = DiurnalLoadPattern._raw
+
+        def counting(self, hour):
+            nonlocal calls
+            calls += 1
+            return raw(self, hour)
+
+        monkeypatch.setattr(DiurnalLoadPattern, "_raw", counting)
+        pattern = DiurnalLoadPattern()
+        n = 1000
+        for i in range(n):
+            pattern.at(i * 86.4)
+        assert calls <= 2 * n + 300
+
+    def test_cached_peak_keeps_value_equality(self, pattern):
+        fresh = DiurnalLoadPattern()
+        pattern.at(hours(12))  # populates the cache on one side only
+        assert pattern == fresh
+        assert hash(pattern) == hash(fresh)
+        assert pattern.at(hours(7)) == fresh.at(hours(7))
+
+
 class TestValidation:
     def test_bad_trough(self):
         with pytest.raises(TraceError):
