@@ -20,7 +20,26 @@ class TestShape:
 
     def test_peak_is_one(self, pattern):
         peak_hour = pattern.daily_peak_hour()
-        assert pattern.at(hours(peak_hour)) == pytest.approx(1.0, abs=1e-3)
+        assert pattern.at(hours(peak_hour)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"evening_peak_hour": 19.97},
+            {"morning_peak_hour": 9.04, "evening_weight": 0.5},
+            # A bump narrower than the 0.1 h sampling, centred off it.
+            {"evening_peak_hour": 20.05, "evening_width_h": 0.02},
+        ],
+    )
+    def test_never_above_one_on_a_dense_grid(self, overrides):
+        # The 0.1 h sampling alone misses the maximiser (the default
+        # pattern reached 1.00002 at 19.976 h).
+        pattern = DiurnalLoadPattern(**overrides)
+        n = 24_000
+        dense = max(pattern.at(i * SECONDS_PER_DAY / n) for i in range(n))
+        assert dense <= 1.0 + 1e-12
+        assert pattern.at(hours(pattern.daily_peak_hour())) == pytest.approx(1.0, abs=1e-12)
 
     def test_evening_peak(self, pattern):
         # The evening bump is the daily maximum, per the paper's Fig. 6.
