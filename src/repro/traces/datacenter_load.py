@@ -65,14 +65,16 @@ class DiurnalLoadPattern:
 
     def _raw(self, hour: float) -> float:
         """Un-normalised bump mixture at ``hour`` (cyclic distance)."""
-
-        def bump(center: float, width: float) -> float:
-            # Cyclic hour distance so the curve is continuous at midnight.
-            d = min(abs(hour - center), 24.0 - abs(hour - center))
-            return math.exp(-0.5 * (d / width) ** 2)
-
-        return bump(self.morning_peak_hour, self.morning_width_h) + (
-            self.evening_weight * bump(self.evening_peak_hour, self.evening_width_h)
+        # Cyclic hour distances, so the curve is continuous at midnight.
+        # Inlined: this runs once per load sample.
+        dm = abs(hour - self.morning_peak_hour)
+        if dm > 12.0:
+            dm = 24.0 - dm
+        de = abs(hour - self.evening_peak_hour)
+        if de > 12.0:
+            de = 24.0 - de
+        return math.exp(-0.5 * (dm / self.morning_width_h) ** 2) + (
+            self.evening_weight * math.exp(-0.5 * (de / self.evening_width_h) ** 2)
         )
 
     @cached_property
